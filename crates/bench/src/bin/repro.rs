@@ -14,7 +14,6 @@
 //!   table6          empirical fence insertion
 //!   fig5            fence runtime/energy cost
 //!   running-example cbe-dot on the K20 (Sec. 1)
-//!   speedup         parallel campaign-layer scaling measurement
 //!   suite           generated litmus suite (shapes x chips x strategies;
 //!                   --provenance adds the weakness-channel breakdown
 //!                   column and JSON fields)
@@ -26,7 +25,6 @@
 //!                   (TARGET: shape short name, app name, shapes, apps, all;
 //!                   --chips A,B re-runs the analysis per chip, adding the
 //!                   incoherent-L1 read-read channel where the chip has one)
-//!   bench           campaign-throughput baseline (BENCH_campaign.json)
 //!   serve           batch campaign jobs through the engine
 //!                   (--jobs FILE-or-inline-spec; jobs separated by
 //!                   newlines or `;`)
@@ -34,7 +32,7 @@
 //!                   (--quick|--extended|--stress; seed from --seed,
 //!                   else SOAK_SEED, else 2016; exits nonzero when a
 //!                   throughput/cache/determinism gate fails)
-//!   all             everything above, in order (except bench/serve/soak)
+//!   all             everything above, in order (except serve/soak)
 //!
 //! `--seed N` sets the base seed every subcommand derives its
 //! per-campaign seeds from (default 2016) — one flag reseeds the entire
@@ -47,8 +45,8 @@
 //! ```
 
 use wmm_bench::{
-    analyze, bench, fig3, fig4, fig5, running, serve, soak, speedup, suite, table2, table3, table5,
-    table6, trace, Scale,
+    analyze, fig3, fig4, fig5, running, serve, soak, suite, table2, table3, table5, table6, trace,
+    Scale,
 };
 use wmm_server::SoakProfile;
 
@@ -191,9 +189,6 @@ fn main() {
         "running-example" => {
             running::run(scale);
         }
-        "speedup" => {
-            speedup::run(scale);
-        }
         "suite" => run_suite(chips, &json_path),
         "trace" => {
             let target = analyze_target.as_deref().unwrap_or_default();
@@ -214,9 +209,6 @@ fn main() {
                 eprintln!("{e}");
                 usage();
             }
-        }
-        "bench" => {
-            bench::run(scale, json_path.as_deref());
         }
         "serve" => {
             let Some(spec) = jobs_spec else {
@@ -258,8 +250,6 @@ fn main() {
             println!("\n{}\n", "=".repeat(76));
             fig5::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
-            speedup::run(scale);
-            println!("\n{}\n", "=".repeat(76));
             run_suite(chips, &json_path);
         }
         _ => usage(),
@@ -268,8 +258,8 @@ fn main() {
 
 fn usage() {
     eprintln!(
-        "usage: repro <fig3|table2|table3|fig4|table5|table6|fig5|running-example|speedup|suite|\
-         analyze TARGET|trace SHAPE|bench|serve|soak|all> \
+        "usage: repro <fig3|table2|table3|fig4|table5|table6|fig5|running-example|suite|\
+         analyze TARGET|trace SHAPE|serve|soak|all> \
          [--chips A,B] [--execs N] [--runs N] [--seed N] [--workers N] [--json PATH] \
          [--placement inter|intra] [--provenance] [--env NAME] [--jobs SPEC] \
          [--quick|--extended|--stress] [--full]\n\
@@ -288,8 +278,6 @@ fn usage() {
          \x20              shapes, apps, or all; --json PATH writes the report;\n\
          \x20              --chips A,B analyzes per chip (adds the incoherent-L1\n\
          \x20              read-read channel on chips that have one)\n\
-         bench          campaign-throughput baseline; writes BENCH_campaign.json\n\
-         \x20              (or --json PATH) and appends a summary to BENCH_soak.json\n\
          serve          batch campaign jobs through the engine; --jobs is a file\n\
          \x20              of job lines or an inline `;`-separated spec\n\
          soak           deterministic soak harness; --quick/--extended/--stress\n\

@@ -15,8 +15,8 @@ use std::path::Path;
 use wmm_server::soak::append_trajectory_point;
 use wmm_server::{run_soak, SoakConfig, SoakProfile};
 
-/// The trajectory file `repro soak` and `repro bench` both append to.
-pub const TRAJECTORY_PATH: &str = "BENCH_soak.json";
+/// The trajectory file `repro soak` appends to.
+const TRAJECTORY_PATH: &str = "BENCH_soak.json";
 
 /// Run a soak profile end to end. Prints the report, writes the
 /// artifacts, and returns `true` iff every gate passed.

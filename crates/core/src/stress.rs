@@ -42,7 +42,7 @@
 //! and the single-location `CoRR.shared` stay forbidden-outcome-free.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::sync::Arc;
 use wmm_sim::chip::Chip;
 use wmm_sim::exec::{KernelGroup, Role};
@@ -474,30 +474,6 @@ pub fn build_stress(
     StressArtifacts::for_strategy(chip, strategy, pad, iters).make(threads, rng)
 }
 
-/// Systematic stress pinned to explicit scratchpad locations (word
-/// offsets within the pad) — the form the tuning micro-benchmarks use,
-/// where `⟨T_d, σ@L⟩` stresses a *specific* location set `L`. One-shot
-/// delegate to [`StressArtifacts::pinned`].
-///
-/// At least 32 threads per location are used so every location receives
-/// stress; threads distribute round-robin over the locations.
-///
-/// # Panics
-///
-/// Panics if `rel_locations` is empty or any location exceeds the pad.
-pub fn build_systematic_at(
-    pad: Scratchpad,
-    seq: &AccessSeq,
-    rel_locations: &[u32],
-    threads: u32,
-    iters: u32,
-) -> StressSetup {
-    // Pinned artifacts draw nothing from an RNG; a throwaway stream
-    // keeps `make`'s signature uniform.
-    let mut rng = SmallRng::seed_from_u64(0);
-    StressArtifacts::pinned(pad, seq, rel_locations, iters).make(threads, &mut rng)
-}
-
 fn groups_for(program: Arc<Program>, threads: u32) -> Vec<KernelGroup> {
     let tpb = 64;
     let blocks = threads.div_ceil(tpb).max(1);
@@ -841,7 +817,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a.groups[0].program, &b.groups[0].program));
         assert_eq!(b.init, vec![(pad.table_base, pad.base + 96)]);
         // ...and matches a directly pinned build.
-        let direct = build_systematic_at(pad, &seq, &[96], 128, 40);
+        let direct = StressArtifacts::pinned(pad, &seq, &[96], 40).make(128, &mut rng());
         assert_eq!(b.init, direct.init);
         assert_eq!(b.groups[0].blocks, direct.groups[0].blocks);
     }

@@ -59,11 +59,11 @@ impl SoakProfile {
     }
 
     /// Default gate thresholds. Throughput floors are calibrated far
-    /// below the measured `BENCH_campaign.json` baselines (a quick-mix
-    /// job is a 6-execution campaign that sustains hundreds of jobs/sec
-    /// on one core), so only a collapse — not a slow CI box — trips
-    /// them. The cache floor is the tentpole's contract: five-ish
-    /// environments shared across hundreds of jobs.
+    /// below the `soak-mix` rates in `perfbench/baseline.json` (the
+    /// engine drains 340–410 jobs/sec on two vCPUs), so only a
+    /// collapse — not a slow CI box — trips them. The cache floor holds
+    /// the cache to its purpose: five-ish environments shared across
+    /// hundreds of jobs.
     pub fn gates(self) -> SoakGates {
         match self {
             SoakProfile::Quick => SoakGates {
@@ -568,9 +568,8 @@ impl SoakReport {
 }
 
 /// Append one single-line JSON `point` to a `{"points": [...]}`
-/// trajectory file, creating the file if missing — the shared appender
-/// behind `BENCH_soak.json` (used by both `repro soak` and
-/// `repro bench`).
+/// trajectory file, creating the file if missing — the appender behind
+/// `BENCH_soak.json` (used by `repro soak`).
 pub fn append_trajectory_point(path: &Path, point: &str) -> io::Result<()> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,

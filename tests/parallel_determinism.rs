@@ -55,29 +55,32 @@ fn campaign_native_is_worker_count_invariant() {
 /// kernel is compiled once per campaign, not per run.
 #[test]
 fn campaign_stressed_is_worker_count_invariant() {
-    let chip = Chip::by_short("K20").unwrap();
-    let pad = Scratchpad::new(2048, 2048);
-    let artifacts = StressArtifacts::pinned(pad, &chip.preferred_seq, &[0], 40);
-    for test in Shape::TRIO {
-        for d in [16, 64] {
-            let inst = test.instance(LitmusLayout::standard(d, pad.required_words()));
-            let run = |parallelism: usize| {
-                CampaignBuilder::new(&chip)
-                    .stress(artifacts.clone())
-                    .randomize_ids(true)
-                    .count(32)
-                    .base_seed(0xBEEF ^ d as u64)
-                    .parallelism(parallelism)
-                    .build()
-                    .run_litmus(&inst)
-            };
-            let reference = run(1);
-            for workers in &WORKER_COUNTS[1..] {
-                assert_eq!(
-                    run(*workers),
-                    reference,
-                    "{test} d={d}: stressed histogram diverged at {workers} workers"
-                );
+    for chip in ["K20", "Titan"] {
+        let chip = Chip::by_short(chip).unwrap();
+        let pad = Scratchpad::new(2048, 2048);
+        let artifacts = StressArtifacts::pinned(pad, &chip.preferred_seq, &[0], 40);
+        for test in Shape::TRIO {
+            for d in [16, 64] {
+                let inst = test.instance(LitmusLayout::standard(d, pad.required_words()));
+                let run = |parallelism: usize| {
+                    CampaignBuilder::new(&chip)
+                        .stress(artifacts.clone())
+                        .randomize_ids(true)
+                        .count(32)
+                        .base_seed(0xBEEF ^ d as u64)
+                        .parallelism(parallelism)
+                        .build()
+                        .run_litmus(&inst)
+                };
+                let reference = run(1);
+                for workers in &WORKER_COUNTS[1..] {
+                    assert_eq!(
+                        run(*workers),
+                        reference,
+                        "{} {test} d={d}: stressed histogram diverged at {workers} workers",
+                        chip.short
+                    );
+                }
             }
         }
     }
