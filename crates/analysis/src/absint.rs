@@ -2,6 +2,11 @@
 //!
 //! The domain is deliberately small: a register holds either a bounded
 //! set of concrete words ([`AbsVal::Vals`]) or ⊤ ([`AbsVal::Top`]).
+//! The set is a [`ValSet`]: at most [`CONST_CAP`] distinct words kept
+//! sorted in an inline array, so an [`AbsVal`] is `Copy` and joining,
+//! copying or comparing register states never allocates. A join or
+//! binary operation that would produce more than [`CONST_CAP`] words
+//! widens to ⊤.
 //! Special registers (`tid`, `bid`, `blockDim`, …) are *concrete* for a
 //! given analysis thread, so SPMD role selection (`if me == t`) prunes
 //! the CFG and each analysis thread only sees its own role's accesses.
@@ -11,8 +16,12 @@
 //! Binary operations are evaluated with [`wmm_sim::exec::eval_bin`] —
 //! the simulator's own operational semantics — so the abstraction can
 //! only lose precision, never diverge from execution.
+//!
+//! [`analyze_thread`] keeps every instruction's in-state in one flat
+//! `insts × num_regs` array; the transfer function updates a single
+//! scratch row in place and yields at most two successors.
 
-use std::collections::BTreeSet;
+use std::fmt;
 
 use wmm_sim::exec::eval_bin;
 use wmm_sim::ir::{Inst, Program, SpecialReg};
@@ -21,19 +30,89 @@ use wmm_sim::Word;
 /// Cap on the size of a concrete value set before widening to ⊤.
 pub const CONST_CAP: usize = 16;
 
+/// A set of at most [`CONST_CAP`] distinct words, sorted ascending and
+/// stored inline.
+#[derive(Clone, Copy)]
+pub struct ValSet {
+    len: u8,
+    words: [Word; CONST_CAP],
+}
+
+impl ValSet {
+    const EMPTY: ValSet = ValSet {
+        len: 0,
+        words: [0; CONST_CAP],
+    };
+
+    /// The members, ascending.
+    pub fn as_slice(&self) -> &[Word] {
+        &self.words[..usize::from(self.len)]
+    }
+
+    /// Is `v` a member?
+    fn contains(&self, v: Word) -> bool {
+        self.as_slice().binary_search(&v).is_ok()
+    }
+
+    /// Add `v`; false (and unchanged) when `v` is new and the set is
+    /// already full.
+    fn insert(&mut self, v: Word) -> bool {
+        let Err(at) = self.as_slice().binary_search(&v) else {
+            return true;
+        };
+        let len = usize::from(self.len);
+        if len == CONST_CAP {
+            return false;
+        }
+        self.words.copy_within(at..len, at + 1);
+        self.words[at] = v;
+        self.len += 1;
+        true
+    }
+
+    /// The union, or `None` past [`CONST_CAP`] members.
+    fn union(&self, other: &ValSet) -> Option<ValSet> {
+        let mut out = *self;
+        other
+            .as_slice()
+            .iter()
+            .all(|&v| out.insert(v))
+            .then_some(out)
+    }
+
+    /// Do the two sets share a member?
+    fn intersects(&self, other: &ValSet) -> bool {
+        self.as_slice().iter().any(|&v| other.contains(v))
+    }
+}
+
+impl PartialEq for ValSet {
+    fn eq(&self, other: &ValSet) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ValSet {}
+
+impl fmt::Debug for ValSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.as_slice()).finish()
+    }
+}
+
 /// Abstract value: a bounded set of possible words, or ⊤ (anything).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsVal {
     /// Unknown: any word.
     Top,
     /// One of finitely many concrete words.
-    Vals(BTreeSet<Word>),
+    Vals(ValSet),
 }
 
 impl AbsVal {
     /// The abstract value holding exactly `v`.
     pub fn singleton(v: Word) -> Self {
-        let mut s = BTreeSet::new();
+        let mut s = ValSet::EMPTY;
         s.insert(v);
         AbsVal::Vals(s)
     }
@@ -46,7 +125,7 @@ impl AbsVal {
     /// The single concrete value, if there is exactly one.
     pub fn as_singleton(&self) -> Option<Word> {
         match self {
-            AbsVal::Vals(s) if s.len() == 1 => s.iter().next().copied(),
+            AbsVal::Vals(s) if s.len == 1 => Some(s.words[0]),
             _ => None,
         }
     }
@@ -55,14 +134,7 @@ impl AbsVal {
     pub fn join(&self, other: &AbsVal) -> AbsVal {
         match (self, other) {
             (AbsVal::Top, _) | (_, AbsVal::Top) => AbsVal::Top,
-            (AbsVal::Vals(a), AbsVal::Vals(b)) => {
-                let u: BTreeSet<Word> = a.union(b).copied().collect();
-                if u.len() > CONST_CAP {
-                    AbsVal::Top
-                } else {
-                    AbsVal::Vals(u)
-                }
-            }
+            (AbsVal::Vals(a), AbsVal::Vals(b)) => a.union(b).map_or(AbsVal::Top, AbsVal::Vals),
         }
     }
 
@@ -70,7 +142,7 @@ impl AbsVal {
     pub fn overlaps(&self, other: &AbsVal) -> bool {
         match (self, other) {
             (AbsVal::Top, _) | (_, AbsVal::Top) => true,
-            (AbsVal::Vals(a), AbsVal::Vals(b)) => !a.is_disjoint(b),
+            (AbsVal::Vals(a), AbsVal::Vals(b)) => a.intersects(b),
         }
     }
 }
@@ -109,7 +181,7 @@ pub struct ThreadAbs {
     /// For each reachable memory access: the abstract address.
     pub addr_at: Vec<Option<AbsVal>>,
     /// Feasible CFG successors per reachable instruction (pruned by
-    /// constant branch conditions).
+    /// constant branch conditions), ascending.
     pub succs: Vec<Vec<usize>>,
 }
 
@@ -118,25 +190,32 @@ pub struct ThreadAbs {
 pub fn analyze_thread(p: &Program, ctx: &ThreadCtx) -> ThreadAbs {
     let n = p.insts.len();
     let nregs = p.num_regs as usize;
-    let mut in_state: Vec<Option<Vec<AbsVal>>> = vec![None; n];
-    let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    // In-state of instruction `i`: row `i` of `state`, valid once
+    // `reachable[i]`.
+    let mut state = vec![AbsVal::Top; n * nregs];
+    let mut reachable = vec![false; n];
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     if n > 0 {
-        in_state[0] = Some(vec![AbsVal::singleton(0); nregs]);
+        state[..nregs].fill(AbsVal::singleton(0));
+        reachable[0] = true;
+        let mut row = vec![AbsVal::Top; nregs];
         let mut work = vec![0usize];
         while let Some(i) = work.pop() {
-            let st = in_state[i].clone().expect("worklist visits reached insts");
-            let (out, nexts) = transfer(p, ctx, i, &st);
-            for j in nexts {
-                succs[i].insert(j);
+            row.copy_from_slice(&state[i * nregs..(i + 1) * nregs]);
+            for j in transfer(p, ctx, i, &mut row).into_iter().flatten() {
+                if let Err(at) = succs[i].binary_search(&j) {
+                    succs[i].insert(at, j);
+                }
                 if j >= n {
                     continue; // fell off the end: implicit halt
                 }
-                let changed = match &mut in_state[j] {
-                    slot @ None => {
-                        *slot = Some(out.clone());
-                        true
-                    }
-                    Some(cur) => join_states(cur, &out),
+                let cur = &mut state[j * nregs..(j + 1) * nregs];
+                let changed = if reachable[j] {
+                    join_states(cur, &row)
+                } else {
+                    reachable[j] = true;
+                    cur.copy_from_slice(&row);
+                    true
                 };
                 if changed {
                     work.push(j);
@@ -144,16 +223,19 @@ pub fn analyze_thread(p: &Program, ctx: &ThreadCtx) -> ThreadAbs {
             }
         }
     }
-    let mut addr_at = vec![None; n];
-    for (i, inst) in p.insts.iter().enumerate() {
-        if let (Some(st), Some(r)) = (&in_state[i], inst.addr_reg()) {
-            addr_at[i] = Some(st[r as usize].clone());
-        }
-    }
+    let addr_at = p
+        .insts
+        .iter()
+        .enumerate()
+        .map(|(i, inst)| match inst.addr_reg() {
+            Some(r) if reachable[i] => Some(state[i * nregs + r as usize]),
+            _ => None,
+        })
+        .collect();
     ThreadAbs {
-        reachable: in_state.iter().map(Option::is_some).collect(),
+        reachable,
         addr_at,
-        succs: succs.into_iter().map(|s| s.into_iter().collect()).collect(),
+        succs,
     }
 }
 
@@ -174,11 +256,10 @@ fn abs_bin(op: wmm_sim::ir::BinOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
     let (AbsVal::Vals(va), AbsVal::Vals(vb)) = (a, b) else {
         return AbsVal::Top;
     };
-    let mut out = BTreeSet::new();
-    for &x in va {
-        for &y in vb {
-            out.insert(eval_bin(op, x, y));
-            if out.len() > CONST_CAP {
+    let mut out = ValSet::EMPTY;
+    for &x in va.as_slice() {
+        for &y in vb.as_slice() {
+            if !out.insert(eval_bin(op, x, y)) {
                 return AbsVal::Top;
             }
         }
@@ -191,64 +272,38 @@ fn branch_ways(cond: &AbsVal) -> (bool, bool) {
     // (may be zero, may be nonzero)
     match cond {
         AbsVal::Top => (true, true),
-        AbsVal::Vals(s) => (s.contains(&0), s.iter().any(|&v| v != 0)),
+        AbsVal::Vals(s) => (s.contains(0), s.as_slice().iter().any(|&v| v != 0)),
     }
 }
 
-fn transfer(p: &Program, ctx: &ThreadCtx, i: usize, st: &[AbsVal]) -> (Vec<AbsVal>, Vec<usize>) {
-    let mut out = st.to_vec();
+/// Step instruction `i` over the register row `st` in place and return
+/// its feasible successors (at most two, in worklist push order).
+fn transfer(p: &Program, ctx: &ThreadCtx, i: usize, st: &mut [AbsVal]) -> [Option<usize>; 2] {
     let fall = i + 1;
-    let nexts = match &p.insts[i] {
-        Inst::Const { dst, value } => {
-            out[*dst as usize] = AbsVal::singleton(*value);
-            vec![fall]
-        }
-        Inst::Mov { dst, src } => {
-            out[*dst as usize] = st[*src as usize].clone();
-            vec![fall]
-        }
+    match &p.insts[i] {
+        Inst::Const { dst, value } => st[*dst as usize] = AbsVal::singleton(*value),
+        Inst::Mov { dst, src } => st[*dst as usize] = st[*src as usize],
         Inst::Bin { op, dst, a, b } => {
-            out[*dst as usize] = abs_bin(*op, &st[*a as usize], &st[*b as usize]);
-            vec![fall]
+            st[*dst as usize] = abs_bin(*op, &st[*a as usize], &st[*b as usize]);
         }
-        Inst::Special { dst, sr } => {
-            out[*dst as usize] = AbsVal::singleton(ctx.special(*sr));
-            vec![fall]
-        }
+        Inst::Special { dst, sr } => st[*dst as usize] = AbsVal::singleton(ctx.special(*sr)),
         Inst::Load { dst, .. }
         | Inst::AtomicCas { dst, .. }
         | Inst::AtomicExch { dst, .. }
-        | Inst::AtomicAdd { dst, .. } => {
-            out[*dst as usize] = AbsVal::Top;
-            vec![fall]
-        }
-        Inst::Store { .. } | Inst::Fence(_) | Inst::Barrier => vec![fall],
-        Inst::Jump { target } => vec![*target],
+        | Inst::AtomicAdd { dst, .. } => st[*dst as usize] = AbsVal::Top,
+        Inst::Store { .. } | Inst::Fence(_) | Inst::Barrier => {}
+        Inst::Jump { target } => return [Some(*target), None],
         Inst::BranchZ { cond, target } => {
             let (zero, nonzero) = branch_ways(&st[*cond as usize]);
-            let mut v = Vec::new();
-            if nonzero {
-                v.push(fall);
-            }
-            if zero {
-                v.push(*target);
-            }
-            v
+            return [nonzero.then_some(fall), zero.then_some(*target)];
         }
         Inst::BranchNZ { cond, target } => {
             let (zero, nonzero) = branch_ways(&st[*cond as usize]);
-            let mut v = Vec::new();
-            if zero {
-                v.push(fall);
-            }
-            if nonzero {
-                v.push(*target);
-            }
-            v
+            return [zero.then_some(fall), nonzero.then_some(*target)];
         }
-        Inst::Halt => Vec::new(),
-    };
-    (out, nexts)
+        Inst::Halt => return [None, None],
+    }
+    [Some(fall), None]
 }
 
 #[cfg(test)]
@@ -256,6 +311,15 @@ mod tests {
     use super::*;
     use wmm_sim::ir::{BinOp, Space};
     use wmm_sim::KernelBuilder;
+
+    /// The join of the given words' singletons.
+    fn vals(words: impl IntoIterator<Item = Word>) -> AbsVal {
+        words
+            .into_iter()
+            .map(AbsVal::singleton)
+            .reduce(|a, b| a.join(&b))
+            .expect("at least one word")
+    }
 
     fn ctx(tid: Word) -> ThreadCtx {
         ThreadCtx {
@@ -366,11 +430,37 @@ mod tests {
 
     #[test]
     fn small_joins_stay_finite() {
-        let a = AbsVal::singleton(1).join(&AbsVal::singleton(2));
-        assert_eq!(a, AbsVal::Vals([1, 2].into_iter().collect()));
+        let a = AbsVal::singleton(2).join(&AbsVal::singleton(1));
+        let AbsVal::Vals(s) = a else {
+            panic!("two values stay finite");
+        };
+        assert_eq!(s.as_slice(), [1, 2], "members stay sorted");
+        assert_eq!(a.join(&a), a);
         assert!(a.overlaps(&AbsVal::singleton(2)));
         assert!(!a.overlaps(&AbsVal::singleton(3)));
         assert!(a.overlaps(&AbsVal::Top));
+    }
+
+    #[test]
+    fn joins_and_operations_past_the_cap_widen_to_top() {
+        let low = vals(0..10);
+        assert_eq!(low.join(&vals(5..15)), vals(0..15));
+        assert!(!vals(0..16).is_top(), "exactly CONST_CAP values fit");
+        assert!(vals(0..17).is_top());
+        assert!(
+            low.join(&vals(10..20)).is_top(),
+            "20 values exceed CONST_CAP"
+        );
+        let four = vals(0..4);
+        let five = vals((0..5).map(|v| v * 100));
+        assert!(
+            abs_bin(BinOp::Add, &four, &five).is_top(),
+            "20 distinct sums"
+        );
+        assert!(
+            !abs_bin(BinOp::Add, &four, &four).is_top(),
+            "7 distinct sums"
+        );
     }
 
     #[test]

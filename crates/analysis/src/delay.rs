@@ -44,8 +44,9 @@ pub struct ThreadModel {
     pub abs: ThreadAbs,
     /// Reachable memory-access instruction indices, in program order.
     pub accesses: Vec<usize>,
-    /// `reach[i][j]`: a CFG path of length ≥ 1 exists from `i` to `j`.
-    reach: Vec<Vec<bool>>,
+    /// `reach[i * n + j]` (`n` instructions): a CFG path of length ≥ 1
+    /// exists from `i` to `j`.
+    reach: Vec<bool>,
 }
 
 impl ThreadModel {
@@ -58,14 +59,15 @@ impl ThreadModel {
             .into_iter()
             .filter(|&i| abs.reachable[i])
             .collect();
-        let mut reach = vec![vec![false; n]; n];
-        for (start, row) in reach.iter_mut().enumerate() {
+        let mut reach = vec![false; n * n];
+        let mut stack: Vec<usize> = Vec::new();
+        for (start, row) in reach.chunks_mut(n.max(1)).enumerate() {
             // BFS over feasible successors; paths of length >= 1.
-            let mut stack: Vec<usize> = abs.succs[start].clone();
+            stack.extend_from_slice(&abs.succs[start]);
             while let Some(j) = stack.pop() {
                 if j < n && !row[j] {
                     row[j] = true;
-                    stack.extend(abs.succs[j].iter().copied());
+                    stack.extend_from_slice(&abs.succs[j]);
                 }
             }
         }
@@ -79,7 +81,7 @@ impl ThreadModel {
 
     /// Is there a program-order path (length ≥ 1) from `i` to `j`?
     pub fn po(&self, i: usize, j: usize) -> bool {
-        self.reach[i][j]
+        self.reach[i * self.abs.reachable.len() + j]
     }
 }
 
@@ -250,16 +252,18 @@ pub fn l1_read_read_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
 
 /// Compute all delay edges of `p` under the given thread models.
 pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
-    // All events, and the conflict adjacency between them.
-    let events: Vec<Event> = ts
-        .iter()
-        .enumerate()
-        .flat_map(|(t, tm)| {
-            tm.accesses
-                .iter()
-                .map(move |&i| Event { thread: t, inst: i })
-        })
-        .collect();
+    // All events, grouped by thread in access order, and the
+    // (thread, inst) → event-index table.
+    let n = p.insts.len();
+    let mut events: Vec<Event> = Vec::new();
+    let mut event_at = vec![usize::MAX; ts.len() * n];
+    for (t, tm) in ts.iter().enumerate() {
+        for &i in &tm.accesses {
+            event_at[t * n + i] = events.len();
+            events.push(Event { thread: t, inst: i });
+        }
+    }
+    let idx_of = |t: usize, i: usize| event_at[t * n + i];
     let ne = events.len();
     let mut conflict_adj: Vec<Vec<usize>> = vec![Vec::new(); ne];
     for x in 0..ne {
@@ -272,11 +276,6 @@ pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
     }
     // Program-order adjacency over the reachability closure.
     let mut po_adj: Vec<Vec<usize>> = vec![Vec::new(); ne];
-    let idx_of = |t: usize, i: usize| -> usize {
-        // Events are grouped by thread in `events`, in access order.
-        let base: usize = ts[..t].iter().map(|tm| tm.accesses.len()).sum();
-        base + ts[t].accesses.iter().position(|&a| a == i).unwrap()
-    };
     for (x, e) in events.iter().enumerate() {
         let tm = &ts[e.thread];
         for &j in &tm.accesses {
@@ -287,10 +286,14 @@ pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
     }
 
     // A po pair (a, b) is a delay iff a mixed path b ⇝ a uses at least
-    // one conflict edge. BFS over (event, used-conflict) states.
-    let is_delay = |a: usize, b: usize| -> bool {
-        let mut seen = vec![[false; 2]; ne];
-        let mut stack: Vec<(usize, bool)> = vec![(b, false)];
+    // one conflict edge. DFS over (event, used-conflict) states; the
+    // visited set and the stack are reused across pairs.
+    let mut seen = vec![[false; 2]; ne];
+    let mut stack: Vec<(usize, bool)> = Vec::new();
+    let mut is_delay = |a: usize, b: usize| -> bool {
+        seen.fill([false; 2]);
+        stack.clear();
+        stack.push((b, false));
         seen[b][0] = true;
         while let Some((x, used)) = stack.pop() {
             if x == a && used {
@@ -319,8 +322,7 @@ pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
                 if !tm.po(i, j) || provably_same_addr(ts, t, i, j) {
                     continue;
                 }
-                let (a, b) = (idx_of(t, i), idx_of(t, j));
-                if !is_delay(a, b) {
+                if !is_delay(idx_of(t, i), idx_of(t, j)) {
                     continue;
                 }
                 let level = match (p.insts[i].space(), p.insts[j].space()) {

@@ -170,8 +170,9 @@ impl Default for SuiteConfig {
 }
 
 /// The static analyzer's verdict on one suite row's litmus instance,
-/// computed once per `(shape, distance)` from the exact per-test-thread
-/// models (see [`wmm_analysis::analyze_litmus`]).
+/// computed once per `(shape, distance, chip)` from the exact
+/// per-test-thread models and shared by that chip's strategy columns
+/// (see [`wmm_analysis::analyze_litmus_on_chip`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticVerdict {
     /// Unfenced delay warnings on the instance's program.

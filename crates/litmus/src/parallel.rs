@@ -9,25 +9,31 @@
 //! and these helpers exploit that: they hand out indices in chunks from a
 //! shared atomic counter (dynamic load balancing, no idle tail when task
 //! durations vary) while the caller keeps bit-identical output for any
-//! worker count.
+//! worker count. The calling thread is one of the workers: a `w`-worker
+//! call spawns `w - 1` scoped threads and runs the last share itself, so
+//! a single-worker call spawns nothing. A panic in any share, the
+//! caller's included, propagates out of the call with its payload.
 //!
 //! Two entry points:
 //!
-//! * [`parallel_map`] — one result per index, returned in index order;
 //! * [`parallel_fold`] — worker-local mutable state (e.g. a reusable
 //!   [`Gpu`](wmm_sim::exec::Gpu) plus an accumulator), returned per
-//!   worker for a commutative merge.
+//!   worker for a commutative merge; the only chunk-claim loop;
+//! * [`parallel_map`] — one result per index, returned in index order,
+//!   built on [`parallel_fold`] with `(index, result)` pairs as the
+//!   worker state.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolve a requested worker count: `0` means all available cores, and
 /// the result is clamped to `[1, jobs]` so no worker starts with nothing
-/// to do.
+/// to do. The core count is only queried for `0`.
 pub fn resolve_workers(requested: usize, jobs: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let w = if requested == 0 { hw } else { requested };
+    let w = if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    };
     w.clamp(1, jobs.max(1))
 }
 
@@ -37,7 +43,7 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
     jobs.div_ceil(workers * 4).max(1)
 }
 
-/// Apply `f` to every index in `0..jobs` using `workers` threads and
+/// Apply `f` to every index in `0..jobs` using `workers` workers and
 /// return the results in index order.
 ///
 /// `f` must be pure up to its index (its output independent of execution
@@ -48,47 +54,25 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if workers <= 1 || jobs <= 1 {
-        return (0..jobs).map(f).collect();
-    }
-    let chunk = chunk_size(jobs, workers);
-    let next = AtomicUsize::new(0);
+    let shards = parallel_fold(workers, jobs, Vec::new, |out: &mut Vec<(usize, T)>, i| {
+        out.push((i, f(i)));
+    });
     let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
     slots.resize_with(jobs, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(jobs) {
-                            out.push((i, f(i)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, v) in handle.join().expect("parallel_map worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
+    for (i, v) in shards.into_iter().flatten() {
+        slots[i] = Some(v);
+    }
     slots
         .into_iter()
         .map(|s| s.expect("every index visited exactly once"))
         .collect()
 }
 
-/// Process every index in `0..jobs` with worker-local state: each worker
-/// creates one `S` via `init`, folds its claimed indices into it via
-/// `step`, and the per-worker states are returned (in an unspecified
-/// order — merge them commutatively).
+/// Process every index in `0..jobs` with worker-local state: each of
+/// `workers` workers (the calling thread among them) creates one `S`
+/// via `init`, folds its claimed indices into it via `step`, and the
+/// per-worker states are returned (in an unspecified order — merge them
+/// commutatively).
 ///
 /// This is the right shape when per-index work needs an expensive
 /// reusable resource, like the simulator instance litmus campaigns run
@@ -99,37 +83,31 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) + Sync,
 {
-    if workers <= 1 || jobs <= 1 {
-        let mut state = init();
-        for i in 0..jobs {
-            step(&mut state, i);
-        }
-        return vec![state];
-    }
+    let workers = if jobs <= 1 { 1 } else { workers.max(1) };
     let chunk = chunk_size(jobs, workers);
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        loop {
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= jobs {
+                break;
+            }
+            for i in start..(start + chunk).min(jobs) {
+                step(&mut state, i);
+            }
+        }
+        state
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(jobs) {
-                            step(&mut state, i);
-                        }
-                    }
-                    state
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel_fold worker panicked"))
-            .collect()
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut states = vec![work()];
+        states.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        states
     })
 }
 

@@ -315,3 +315,28 @@ fn primitives_are_worker_count_invariant() {
         );
     }
 }
+
+/// A panic at any index escapes both primitives with its own payload,
+/// whichever worker claimed the index: a spawned helper or the calling
+/// thread, which runs one share itself.
+#[test]
+fn primitives_propagate_panics_from_every_share() {
+    const JOBS: usize = 16;
+    for workers in [1, 2, 3, 8] {
+        for bad in 0..JOBS {
+            let boom = |i: usize| {
+                if i == bad {
+                    panic!("index {i} failed");
+                }
+            };
+            let folded =
+                std::panic::catch_unwind(|| parallel_fold(workers, JOBS, || (), |_, i| boom(i)));
+            let mapped = std::panic::catch_unwind(|| parallel_map(workers, JOBS, boom));
+            for result in [folded.map(drop), mapped.map(drop)] {
+                let payload = result.expect_err("the panic must propagate");
+                let msg = payload.downcast_ref::<String>().expect("formatted panic");
+                assert_eq!(msg, &format!("index {bad} failed"), "workers {workers}");
+            }
+        }
+    }
+}

@@ -5,10 +5,14 @@
 //! * every fenced twin the dynamic suite never observes weak is
 //!   statically certified quiet;
 //! * the analyzer is exact and deterministic: identical reports on
-//!   repeated runs and for every campaign worker count.
+//!   repeated runs and for every campaign worker count;
+//! * the rendered analysis of the whole catalogue, every chip and every
+//!   application is pinned bit for bit by one golden digest.
 
-use gpu_wmm::analysis::analyze_litmus;
+use gpu_wmm::analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
+use gpu_wmm::apps::all_apps;
 use gpu_wmm::core::suite::{run_suite, SuiteConfig, SuiteStrategy};
+use gpu_wmm::core::{analyze_spec, Fnv64};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::LitmusLayout;
 use gpu_wmm::sim::chip::Chip;
@@ -208,4 +212,41 @@ fn static_reports_are_deterministic_across_runs_and_workers() {
             assert_eq!(a.static_verdict, b.static_verdict, "{}", a.shape);
         }
     }
+}
+
+/// Fold one rendered analysis into `h`: a label line, every warning and
+/// site through its `Display`, and the ordered-edge count.
+fn fold_analysis(h: &mut Fnv64, label: &str, a: &ProgramAnalysis) {
+    h.write(label.as_bytes());
+    h.write(b"\n");
+    for w in &a.warnings {
+        h.write(format!("{w}\n").as_bytes());
+    }
+    for s in &a.sites {
+        h.write(format!("{s}\n").as_bytes());
+    }
+    h.write(format!("ordered {}\n", a.ordered_edges).as_bytes());
+}
+
+#[test]
+fn rendered_analysis_matches_the_golden_digest() {
+    // Recorded from the set-based abstract domain the analyzer first
+    // shipped with; any change to the domain, the worklist or the delay
+    // search must leave every warning, verdict and count untouched.
+    const GOLDEN: u64 = 0x31f9_35f4_ff29_0a5c;
+    let mut h = Fnv64::new();
+    for shape in Shape::ALL {
+        let li = instance(shape);
+        fold_analysis(&mut h, &format!("{shape}"), &analyze_litmus(&li));
+        for chip in Chip::all() {
+            let label = format!("{shape} on {}", chip.short);
+            fold_analysis(&mut h, &label, &analyze_litmus_on_chip(&li, &chip));
+        }
+    }
+    for app in all_apps() {
+        for (k, phase) in analyze_spec(app.spec()).phases.iter().enumerate() {
+            fold_analysis(&mut h, &format!("{} phase {k}", app.name()), phase);
+        }
+    }
+    assert_eq!(h.finish(), GOLDEN, "digest {:016x}", h.finish());
 }
