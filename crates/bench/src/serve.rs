@@ -11,19 +11,9 @@
 //! ```
 
 use std::time::Instant;
-use wmm_obs::{ChannelCounts, LatencyHistogram};
+use wmm_litmus::parallel::resolve_workers;
+use wmm_obs::ChannelCounts;
 use wmm_server::{parse_jobs, Engine, EngineConfig, JobSpec};
-
-/// Resolve the `--workers` convention (0 ⇒ all cores) to a pool size.
-pub fn effective_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-}
 
 /// Read the job list from a file path or inline text.
 pub fn load_jobs(spec: &str) -> Result<Vec<JobSpec>, String> {
@@ -38,10 +28,11 @@ pub fn load_jobs(spec: &str) -> Result<Vec<JobSpec>, String> {
     Ok(jobs)
 }
 
-/// Run the batch and print per-job results plus engine counters.
+/// Run the batch and print per-job results (with each job's exact
+/// wall-clock queue wait and execution time) plus engine counters.
 pub fn run(spec: &str, workers: usize) -> Result<(), String> {
     let jobs = load_jobs(spec)?;
-    let workers = effective_workers(workers);
+    let workers = resolve_workers(workers, usize::MAX);
     println!("engine: {} workers, {} jobs queued\n", workers, jobs.len());
     let engine = Engine::start(EngineConfig {
         workers,
@@ -51,30 +42,34 @@ pub fn run(spec: &str, workers: usize) -> Result<(), String> {
     for job in jobs {
         engine.submit(job)?;
     }
-    let results = engine.drain()?;
+    let timed = engine.drain_timed()?;
     let elapsed = started.elapsed().as_secs_f64();
-    println!("{:>4}  {:<52} {:>10} {:>9}", "id", "job", "result", "ms");
-    for r in &results {
+    println!(
+        "{:>4}  {:<52} {:>10} {:>9} {:>9}",
+        "id", "job", "result", "wait ms", "ms"
+    );
+    for (r, queue_ms) in &timed {
         let outcome = match (r.summary.as_litmus(), r.summary.as_app()) {
             (Some(h), _) => format!("{}/{} weak", h.weak(), h.total()),
             (_, Some(c)) => format!("{}/{} err", c.errors, c.runs),
             _ => "-".to_string(),
         };
         println!(
-            "{:>4}  {:<52} {:>10} {:>9.2}",
+            "{:>4}  {:<52} {:>10} {:>9.2} {:>9.2}",
             r.id,
             r.spec.to_string(),
             outcome,
+            queue_ms,
             r.latency_ms
         );
     }
     let stats = engine.cache_stats();
     println!(
         "\n{} jobs in {:.2}s ({:.1} jobs/sec); artifact cache: {} builds, {} hits ({:.1}% hit rate), max queue depth {}",
-        results.len(),
+        timed.len(),
         elapsed,
         if elapsed > 0.0 {
-            results.len() as f64 / elapsed
+            timed.len() as f64 / elapsed
         } else {
             f64::INFINITY
         },
@@ -83,18 +78,10 @@ pub fn run(spec: &str, workers: usize) -> Result<(), String> {
         stats.hit_rate() * 100.0,
         engine.max_depth()
     );
-    // Wall-clock span telemetry plus the batch's deterministic
-    // weakness-channel totals (the litmus jobs' provenance counters).
-    let m = engine.metrics();
-    let zero = LatencyHistogram::default();
-    println!(
-        "spans (wall-clock): queue_wait {}; execute {}; compile {}",
-        m.span("queue_wait").unwrap_or(&zero),
-        m.span("execute").unwrap_or(&zero),
-        engine.compile_times()
-    );
+    // The batch's deterministic weakness-channel totals (the litmus
+    // jobs' provenance counters).
     let mut channels = ChannelCounts::default();
-    for r in &results {
+    for (r, _) in &timed {
         if let Some(h) = r.summary.as_litmus() {
             channels.add(h.channels());
         }
@@ -119,11 +106,5 @@ mod tests {
     fn empty_and_malformed_specs_error() {
         assert!(load_jobs("# just a comment").is_err());
         assert!(load_jobs("litmus Titan sys-str+ NOPE 64 8 7").is_err());
-    }
-
-    #[test]
-    fn zero_workers_means_all_cores() {
-        assert!(effective_workers(0) >= 1);
-        assert_eq!(effective_workers(3), 3);
     }
 }

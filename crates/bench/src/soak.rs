@@ -10,9 +10,9 @@
 //! Returns whether every gate passed; the `repro` binary exits
 //! nonzero otherwise.
 
-use crate::serve::effective_workers;
 use std::path::Path;
-use wmm_server::soak::append_trajectory_point;
+use wmm_litmus::parallel::resolve_workers;
+use wmm_server::soak::{append_trajectory_point, percentile};
 use wmm_server::{run_soak, SoakConfig, SoakProfile};
 
 /// The trajectory file `repro soak` appends to.
@@ -23,7 +23,7 @@ const TRAJECTORY_PATH: &str = "BENCH_soak.json";
 pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> bool {
     let mut cfg = SoakConfig::new(profile);
     cfg.seed = seed;
-    cfg.workers = effective_workers(workers);
+    cfg.workers = resolve_workers(workers, usize::MAX);
     println!(
         "soak --{}: seed {}, {} workers",
         profile, cfg.seed, cfg.workers
@@ -50,8 +50,10 @@ pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> bool {
         report.cache.hit_rate() * 100.0
     );
     println!(
-        "spans (wall-clock): queue_wait {}; execute {}; compile {}",
-        report.metrics.queue_wait, report.metrics.execute, report.metrics.compile
+        "queue wait us: p50 {:.1}  p90 {:.1}  p99 {:.1}",
+        percentile(&report.queue_wait_us, 50.0),
+        percentile(&report.queue_wait_us, 90.0),
+        percentile(&report.queue_wait_us, 99.0)
     );
     println!(
         "weakness channels (deterministic): {}; provenance: {}",

@@ -6,8 +6,9 @@
 //! cost [`StressArtifacts`] exists to kill. This cache closes the gap:
 //! artifacts are built once per distinct [`ArtifactKey`] — chip ×
 //! [`Environment`] × scratchpad × stressing-loop length — and shared
-//! (as `Arc`s) by every job that keys to them, whether submitted
-//! through the server or driven by the one-shot suite runner.
+//! (as `Arc`s) by every job that keys to them. The engine
+//! (`wmm_server::Engine`) is the cache's one user; the one-shot suite
+//! runner builds each column's artifacts once up front instead.
 //!
 //! Keying is **structural** ([`Environment`]'s `Eq`/`Hash` compare the
 //! strategy's tuned parameters, not its display name), so `sys-str+`
@@ -30,8 +31,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-use wmm_obs::LatencyHistogram;
 use wmm_sim::chip::Chip;
 
 /// Everything [`StressArtifacts::for_strategy`] reads: the cache key
@@ -122,9 +121,6 @@ pub struct ArtifactCache {
     map: Mutex<HashMap<ArtifactKey, Arc<StressArtifacts>>>,
     hits: AtomicU64,
     builds: AtomicU64,
-    /// Wall-clock artifact-compile durations (one sample per build).
-    /// Telemetry only — never folded into any deterministic digest.
-    compile: Mutex<LatencyHistogram>,
 }
 
 impl ArtifactCache {
@@ -141,12 +137,7 @@ impl ArtifactCache {
             return Arc::clone(hit);
         }
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
         let built = Arc::new(key.build());
-        self.compile
-            .lock()
-            .expect("compile histogram poisoned")
-            .record(started.elapsed());
         map.insert(key.clone(), Arc::clone(&built));
         built
     }
@@ -176,15 +167,6 @@ impl ArtifactCache {
             builds: self.builds.load(Ordering::Relaxed),
             entries,
         }
-    }
-
-    /// Snapshot of the wall-clock artifact-compile latency histogram
-    /// (one sample per build; empty when every lookup hit).
-    pub fn compile_times(&self) -> LatencyHistogram {
-        self.compile
-            .lock()
-            .expect("compile histogram poisoned")
-            .clone()
     }
 }
 
@@ -321,17 +303,6 @@ mod tests {
             a.groups[0].program.to_string(),
             b.groups[0].program.to_string()
         );
-    }
-
-    #[test]
-    fn compile_times_sample_builds_not_hits() {
-        let c = chip();
-        let cache = ArtifactCache::new();
-        let env = Environment::sys_str_plus(&c);
-        assert!(cache.compile_times().is_empty());
-        let _ = cache.get(&c, &env, pad(), 40);
-        let _ = cache.get(&c, &env, pad(), 40); // hit: no new sample
-        assert_eq!(cache.compile_times().count(), 1);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   in the workspace executes on, with stress artifacts built once per
 //!   environment;
 //! * [`cache`] — the shared, structurally-keyed [`ArtifactCache`] the
-//!   campaign server and the one-shot suite runner deduplicate stress
-//!   kernel builds through;
+//!   campaign server deduplicates stress kernel builds through;
 //! * [`stress`] — the four memory stressing strategies (`no-str`,
 //!   `rand-str`, `cache-str`, and the tuned `sys-str`) targeting a
 //!   scratchpad disjoint from the application (Sec. 3, 4.2), plus the
@@ -48,6 +47,4 @@ pub use harden::{
     LeveledFenceSite, ScopedHardenResult,
 };
 pub use stress::{Scratchpad, StressArtifacts, StressStrategy, SystematicParams};
-pub use suite::{
-    run_suite, run_suite_observed, StaticVerdict, SuiteCell, SuiteConfig, SuiteStrategy,
-};
+pub use suite::{run_suite, StaticVerdict, SuiteCell, SuiteConfig, SuiteStrategy};

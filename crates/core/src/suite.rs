@@ -11,15 +11,12 @@
 //! graph); with the campaign facade in `wmm-core` the runner lives here
 //! and the columns are plain [`StressStrategy`] values.
 
-use crate::cache::ArtifactCache;
 use crate::campaign::CampaignBuilder;
-use crate::env::Environment;
 use crate::stress::{Scratchpad, SharedStress, StressArtifacts, StressStrategy, SystematicParams};
 use std::sync::Arc;
 use wmm_gen::Shape;
 use wmm_litmus::runner::mix_seed;
 use wmm_litmus::{Histogram, LitmusLayout, Placement};
-use wmm_obs::{MetricsRegistry, SpanTimer};
 use wmm_sim::chip::Chip;
 use wmm_sim::ir::{FenceLevel, Space};
 
@@ -108,17 +105,6 @@ impl SuiteStrategy {
     /// The strategy this column applies on `chip`.
     pub fn strategy(&self, chip: &Chip) -> StressStrategy {
         (self.strategy_of)(chip)
-    }
-
-    /// The [`Environment`] this column realises on `chip` — the
-    /// structural key under which its artifacts are shared (see
-    /// [`ArtifactCache`]).
-    pub fn environment(&self, chip: &Chip) -> Environment {
-        Environment {
-            stress: self.strategy(chip),
-            randomize: self.randomize,
-            shared: self.shared,
-        }
     }
 
     /// Build this column's stress artifacts for `chip`, compiled once
@@ -258,8 +244,8 @@ impl SuiteCell {
 /// Campaign every `shape × distance × chip × strategy` cell and return
 /// the matrix in that (row-major) order.
 ///
-/// Stress artifacts are built once per `(chip, strategy)` column and
-/// shared across all of that column's cells and runs.
+/// Stress artifacts are built once per `(chip, strategy)` column, before
+/// any cell runs, and shared across all of that column's cells and runs.
 ///
 /// Deterministic in `(shapes, cfg, chips, strategies)`: each cell's
 /// campaign seed is [`mix_seed`]-derived from the cell's coordinates
@@ -271,46 +257,15 @@ pub fn run_suite(
     strategies: &[SuiteStrategy],
     cfg: &SuiteConfig,
 ) -> Vec<SuiteCell> {
-    run_suite_with_cache(shapes, chips, strategies, cfg, &ArtifactCache::new())
-}
-
-/// [`run_suite`] over a caller-supplied [`ArtifactCache`]: each
-/// `(chip, strategy)` column's artifacts are looked up per cell and
-/// built at most once — by this suite *or by anything else sharing the
-/// cache* (the campaign server seeds its soak runs this way). The
-/// cache's build counter is the exactly-once-compilation hook the tests
-/// assert on; results are identical to [`run_suite`]'s whether a lookup
-/// hits or builds.
-pub fn run_suite_with_cache(
-    shapes: &[Shape],
-    chips: &[Chip],
-    strategies: &[SuiteStrategy],
-    cfg: &SuiteConfig,
-    cache: &ArtifactCache,
-) -> Vec<SuiteCell> {
-    run_suite_observed(
-        shapes,
-        chips,
-        strategies,
-        cfg,
-        cache,
-        &mut MetricsRegistry::new(),
-    )
-}
-
-/// [`run_suite_with_cache`] that also records wall-clock telemetry
-/// into `metrics`: one `suite_cell` span sample per cell campaign and
-/// a `suite_cells` counter. The cells themselves are untouched — the
-/// registry is observation only, and its span values are wall-clock
-/// (machine-dependent), unlike everything else this function returns.
-pub fn run_suite_observed(
-    shapes: &[Shape],
-    chips: &[Chip],
-    strategies: &[SuiteStrategy],
-    cfg: &SuiteConfig,
-    cache: &ArtifactCache,
-    metrics: &mut MetricsRegistry,
-) -> Vec<SuiteCell> {
+    let columns: Vec<Vec<StressArtifacts>> = chips
+        .iter()
+        .map(|chip| {
+            strategies
+                .iter()
+                .map(|strat| strat.artifacts(chip, cfg.pad))
+                .collect()
+        })
+        .collect();
     let mut cells = Vec::new();
     for (si, shape) in shapes.iter().enumerate() {
         for &d in &cfg.distances {
@@ -319,23 +274,19 @@ pub fn run_suite_observed(
                 // Per-chip: incoherent-L1 chips grow the delay set.
                 let static_verdict = StaticVerdict::of_chip(&inst, chip);
                 for (ki, strat) in strategies.iter().enumerate() {
-                    let artifacts = cache.get(chip, &strat.environment(chip), cfg.pad, strat.iters);
                     // Chain one mix per coordinate: unlike a polynomial
                     // pack, this cannot collide for any in-range values.
                     let cell_seed = [si as u64, u64::from(d), ci as u64, ki as u64]
                         .into_iter()
                         .fold(cfg.base_seed, mix_seed);
-                    let span = SpanTimer::start();
                     let hist = CampaignBuilder::new(chip)
-                        .stress((*artifacts).clone())
+                        .stress(columns[ci][ki].clone())
                         .randomize_ids(strat.randomize)
                         .count(cfg.execs)
                         .base_seed(cell_seed)
                         .parallelism(cfg.workers)
                         .build()
                         .run_litmus(&inst);
-                    span.finish(metrics, "suite_cell");
-                    metrics.incr("suite_cells", 1);
                     cells.push(SuiteCell {
                         shape: *shape,
                         distance: d,
@@ -457,54 +408,6 @@ mod tests {
         assert_eq!(placement_of(Shape::Mp), Placement::InterBlock);
         assert_eq!(placement_of(Shape::MpShared), Placement::IntraBlock);
         assert_eq!(placement_of(Shape::MpCas), Placement::InterBlock);
-    }
-
-    #[test]
-    fn suite_compiles_each_column_exactly_once() {
-        // The full 5-column × 28-shape matrix on one chip: the cache's
-        // build counter must read exactly one compile per column, every
-        // other cell a hit.
-        let chips = [Chip::by_short("Titan").unwrap()];
-        let strategies = [
-            SuiteStrategy::native(),
-            SuiteStrategy::sys_str_plus(40),
-            SuiteStrategy::rand_str_plus(40),
-            SuiteStrategy::shared_sys_str_plus(40),
-            SuiteStrategy::l1_str_plus(40),
-        ];
-        let cfg = SuiteConfig {
-            execs: 2,
-            ..Default::default()
-        };
-        let cache = ArtifactCache::new();
-        let cells = run_suite_with_cache(&Shape::ALL, &chips, &strategies, &cfg, &cache);
-        assert_eq!(cells.len(), Shape::ALL.len() * strategies.len());
-        let s = cache.stats();
-        assert_eq!(
-            s.builds as usize,
-            strategies.len(),
-            "one compile per column"
-        );
-        assert_eq!(s.entries, strategies.len());
-        assert_eq!(s.hits, (cells.len() - strategies.len()) as u64);
-    }
-
-    #[test]
-    fn warm_cache_does_not_change_suite_results() {
-        let chips = [Chip::by_short("K20").unwrap()];
-        let shapes = [Shape::Mp, Shape::Sb];
-        let strategies = [SuiteStrategy::sys_str_plus(40)];
-        let cfg = SuiteConfig {
-            execs: 12,
-            ..Default::default()
-        };
-        let cache = ArtifactCache::new();
-        let cold = run_suite_with_cache(&shapes, &chips, &strategies, &cfg, &cache);
-        let warm = run_suite_with_cache(&shapes, &chips, &strategies, &cfg, &cache);
-        assert_eq!(cache.stats().builds, 1, "second pass must be all hits");
-        for (a, b) in cold.iter().zip(&warm) {
-            assert_eq!(a.hist, b.hist, "{} {}", a.shape, a.strategy);
-        }
     }
 
     #[test]

@@ -1,33 +1,25 @@
 //! # wmm-obs — deterministic observability primitives
 //!
 //! The telemetry layer for the weak-memory stack: provenance counters
-//! for the executor's weakness channels, fixed-bucket latency
-//! histograms for wall-clock spans, and a bounded structured event log
-//! for `repro trace`. The crate sits at the bottom of the graph
+//! for the executor's weakness channels and a bounded structured event
+//! log for `repro trace`. The crate sits at the bottom of the graph
 //! (no dependencies) so every layer — simulator, litmus runner,
 //! campaign facade, server, CLI — can share the same types.
 //!
-//! Two strictly separated kinds of data flow through here:
+//! Everything here is deterministic: [`ChannelCounts`] and
+//! [`Provenance`] are pure counts taken at existing decision points in
+//! the executor. They draw no randomness and are folded commutatively,
+//! so they are bit-identical across worker counts and reruns at a fixed
+//! seed — safe to assert on in tests and to grep in CI. Wall-clock
+//! timing is not this crate's business: the engine reports exact
+//! per-job samples, and `perfbench` measures everything else.
 //!
-//! * **Deterministic counters** ([`ChannelCounts`], [`Provenance`],
-//!   [`MetricsRegistry`] counters): pure counts taken at existing
-//!   decision points in the executor. They draw no randomness and are
-//!   folded commutatively, so they are bit-identical across worker
-//!   counts and reruns at a fixed seed — safe to assert on in tests
-//!   and to grep in CI.
-//! * **Wall-clock spans** ([`LatencyHistogram`], [`SpanTimer`],
-//!   [`MetricsRegistry`] spans): machine-dependent timings. They are
-//!   kept out of every digest and every equivalence check, and every
-//!   JSON rendering labels them as such (`spans_us`).
-//!
-//! Everything is allocation-light: counters are plain `u64` fields,
-//! histograms are fixed arrays, and the event log is a bounded ring
-//! buffer that drops (and counts) the oldest entries.
+//! Everything is allocation-light: counters are plain `u64` fields, and
+//! the event log is a bounded ring buffer that drops (and counts) the
+//! oldest entries.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Channel provenance counters (deterministic)
@@ -276,261 +268,6 @@ impl fmt::Display for Provenance {
 }
 
 // ---------------------------------------------------------------------------
-// Wall-clock latency histograms (non-deterministic)
-// ---------------------------------------------------------------------------
-
-/// Number of power-of-two latency buckets (bucket 31 tops out above
-/// half an hour in microseconds — far beyond any span here).
-const BUCKETS: usize = 32;
-
-/// A fixed-bucket wall-clock latency histogram.
-///
-/// Bucket `i > 0` holds samples with `us` in `[2^(i-1), 2^i)`; bucket 0
-/// holds zero-microsecond samples. Recording is allocation-free and
-/// O(1); percentiles are reported as the upper edge of the covering
-/// bucket (a deterministic function of the recorded samples, but the
-/// samples themselves are wall-clock and therefore machine-dependent —
-/// never fold these into a digest).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
-    n: u64,
-    sum_us: u64,
-    max_us: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            counts: [0; BUCKETS],
-            n: 0,
-            sum_us: 0,
-            max_us: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket(us: u64) -> usize {
-        (64 - us.leading_zeros() as usize).min(BUCKETS - 1)
-    }
-
-    /// Record one sample in microseconds.
-    pub fn record_us(&mut self, us: u64) {
-        self.counts[Self::bucket(us)] += 1;
-        self.n += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Record one sample as a [`Duration`].
-    pub fn record(&mut self, d: Duration) {
-        self.record_us(d.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Mean sample in microseconds (0 when empty).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.n).unwrap_or(0)
-    }
-
-    /// Largest recorded sample in microseconds.
-    pub fn max_us(&self) -> u64 {
-        self.max_us
-    }
-
-    /// The `p`-th percentile (0.0–1.0) as the upper edge of the bucket
-    /// containing it, clamped to the observed maximum; 0 when empty.
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        if self.n == 0 {
-            return 0;
-        }
-        let rank = ((p.clamp(0.0, 1.0) * self.n as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let edge = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                return edge.min(self.max_us);
-            }
-        }
-        self.max_us
-    }
-
-    /// Merge another histogram into this one (commutative).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.n += other.n;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Single-line JSON summary: count, p50/p90/p99, mean and max, all
-    /// in microseconds.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"n\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"mean_us\": {}, \"max_us\": {}}}",
-            self.n,
-            self.percentile_us(0.50),
-            self.percentile_us(0.90),
-            self.percentile_us(0.99),
-            self.mean_us(),
-            self.max_us
-        )
-    }
-}
-
-impl fmt::Display for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} p50={}us p90={}us p99={}us max={}us",
-            self.n,
-            self.percentile_us(0.50),
-            self.percentile_us(0.90),
-            self.percentile_us(0.99),
-            self.max_us
-        )
-    }
-}
-
-/// A started monotonic span; finish it into a [`MetricsRegistry`].
-#[derive(Debug)]
-pub struct SpanTimer(Instant);
-
-impl SpanTimer {
-    /// Start timing now.
-    pub fn start() -> Self {
-        SpanTimer(Instant::now())
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
-
-    /// Stop and record the elapsed time under `name` in `reg`.
-    pub fn finish(self, reg: &mut MetricsRegistry, name: &str) {
-        reg.record_span(name, self.0.elapsed());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------------
-
-/// A named collection of counters (deterministic) and wall-clock span
-/// histograms (non-deterministic), kept strictly apart.
-///
-/// The registry itself is plain data; callers that share one across
-/// threads wrap it in a `Mutex` (the campaign server does). The JSON
-/// rendering separates the two kinds under `"counters"` and
-/// `"spans_us"` so a report can never accidentally fold wall-clock
-/// values into a deterministic digest.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    spans: BTreeMap<String, LatencyHistogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `by` to the counter `name` (creating it at zero).
-    pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
-    }
-
-    /// Current value of counter `name` (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Record a wall-clock span sample under `name`.
-    pub fn record_span(&mut self, name: &str, d: Duration) {
-        if let Some(h) = self.spans.get_mut(name) {
-            h.record(d);
-        } else {
-            let mut h = LatencyHistogram::new();
-            h.record(d);
-            self.spans.insert(name.to_string(), h);
-        }
-    }
-
-    /// The span histogram for `name`, if any sample was recorded.
-    pub fn span(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.spans.get(name)
-    }
-
-    /// Iterate spans in name order.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.spans.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merge another registry into this one (commutative).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.incr(k, *v);
-        }
-        for (k, h) in &other.spans {
-            if let Some(mine) = self.spans.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.spans.insert(k.clone(), h.clone());
-            }
-        }
-    }
-
-    /// Single-line JSON object with deterministic counters under
-    /// `"counters"` and wall-clock histograms under `"spans_us"`.
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|(k, h)| format!("\"{k}\": {}", h.to_json()))
-            .collect();
-        format!(
-            "{{\"counters\": {{{}}}, \"spans_us\": {{{}}}}}",
-            counters.join(", "),
-            spans.join(", ")
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Bounded event log
 // ---------------------------------------------------------------------------
 
@@ -694,72 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_percentiles_are_bucket_edges() {
-        let mut h = LatencyHistogram::new();
-        for us in [0, 1, 3, 3, 7, 100, 1000] {
-            h.record_us(us);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.max_us(), 1000);
-        // p50 rank 4 of [0,1,3,3,7,100,1000] -> the [2,4) bucket, edge 3.
-        assert_eq!(h.percentile_us(0.50), 3);
-        // p100 clamps to the observed max, not the bucket edge (1023).
-        assert_eq!(h.percentile_us(1.0), 1000);
-        assert_eq!(LatencyHistogram::new().percentile_us(0.5), 0);
-    }
-
-    #[test]
-    fn latency_histogram_merge_matches_sequential_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for us in [5, 10, 15] {
-            a.record_us(us);
-            both.record_us(us);
-        }
-        for us in [20, 1_000_000] {
-            b.record_us(us);
-            both.record_us(us);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-        assert!(a.to_json().contains("\"n\": 5"));
-    }
-
-    #[test]
-    fn registry_separates_counters_from_spans() {
-        let mut r = MetricsRegistry::new();
-        r.incr("jobs", 2);
-        r.incr("jobs", 1);
-        r.record_span("execute", Duration::from_micros(150));
-        assert_eq!(r.counter("jobs"), 3);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.span("execute").unwrap().count(), 1);
-        let j = r.to_json();
-        assert!(j.contains("\"counters\": {\"jobs\": 3}"));
-        assert!(j.contains("\"spans_us\": {\"execute\": {"));
-        assert!(!j.contains('\n'));
-    }
-
-    #[test]
-    fn registry_merge_is_commutative() {
-        let mut a = MetricsRegistry::new();
-        a.incr("x", 1);
-        a.record_span("s", Duration::from_micros(10));
-        let mut b = MetricsRegistry::new();
-        b.incr("x", 2);
-        b.incr("y", 5);
-        b.record_span("s", Duration::from_micros(20));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counter("x"), 3);
-        assert_eq!(ab.span("s").unwrap().count(), 2);
-    }
-
-    #[test]
     fn event_log_bounds_and_counts_drops() {
         let mut log = EventLog::new(3);
         for i in 0..5 {
@@ -772,14 +443,5 @@ mod tests {
         zero.push(1);
         assert!(zero.is_empty());
         assert_eq!(zero.dropped(), 1);
-    }
-
-    #[test]
-    fn span_timer_records_into_the_registry() {
-        let mut r = MetricsRegistry::new();
-        let t = SpanTimer::start();
-        assert!(t.elapsed() < Duration::from_secs(60));
-        t.finish(&mut r, "compile");
-        assert_eq!(r.span("compile").unwrap().count(), 1);
     }
 }

@@ -12,6 +12,11 @@
 //! so neither the number of workers nor which worker happens to claim a
 //! job can change any histogram; [`Engine::drain`] orders results by
 //! submission id, making the whole batch reproducible.
+//!
+//! Wall-clock: each job carries two exact samples, its execution
+//! latency ([`JobResult::latency_ms`]) and its queue wait (paired with
+//! the result by [`Engine::drain_timed`]). Both stay out of every
+//! digest; the engine keeps no other timing state.
 
 use crate::job::JobSpec;
 use std::collections::VecDeque;
@@ -20,7 +25,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use wmm_core::cache::{ArtifactCache, CacheStats};
 use wmm_core::campaign::SummaryValue;
-use wmm_obs::{LatencyHistogram, MetricsRegistry};
 
 /// Engine sizing.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +48,8 @@ impl Default for EngineConfig {
 }
 
 /// One completed job: the spec it ran, its summary, and how long it
-/// spent executing (queue wait excluded).
+/// spent executing (queue wait excluded; [`Engine::drain_timed`] pairs
+/// each result with its queue wait).
 #[derive(Debug, Clone)]
 pub struct JobResult {
     /// Submission id (dense, starting at 0).
@@ -60,7 +65,8 @@ pub struct JobResult {
 
 struct State {
     queue: VecDeque<(u64, JobSpec, Instant)>,
-    results: Vec<JobResult>,
+    /// Each finished job with its queue wait in milliseconds.
+    results: Vec<(JobResult, f64)>,
     errors: Vec<(u64, String)>,
     next_id: u64,
     in_flight: usize,
@@ -76,10 +82,6 @@ struct Shared {
     done: Condvar,
     cache: ArtifactCache,
     job_parallelism: usize,
-    /// Wall-clock telemetry: `queue_wait` / `execute` span histograms
-    /// and the `jobs` counter. Observation only — results and digests
-    /// never read this.
-    metrics: Mutex<MetricsRegistry>,
 }
 
 /// The long-running campaign engine. Start it, submit jobs, [`drain`]
@@ -111,7 +113,6 @@ impl Engine {
             done: Condvar::new(),
             cache: ArtifactCache::new(),
             job_parallelism: config.job_parallelism,
-            metrics: Mutex::new(MetricsRegistry::new()),
         });
         let handles = (0..config.workers.max(1))
             .map(|_| {
@@ -143,6 +144,13 @@ impl Engine {
     /// from job execution (none are expected — specs are validated at
     /// submission) fail the whole drain.
     pub fn drain(&self) -> Result<Vec<JobResult>, String> {
+        Ok(self.drain_timed()?.into_iter().map(|(r, _)| r).collect())
+    }
+
+    /// [`drain`](Engine::drain), pairing each result with the exact
+    /// wall-clock time (ms) its job waited in the queue before a
+    /// worker claimed it. Machine-dependent, like `latency_ms`.
+    pub fn drain_timed(&self) -> Result<Vec<(JobResult, f64)>, String> {
         let mut st = self.shared.state.lock().expect("engine state poisoned");
         while !st.queue.is_empty() || st.in_flight > 0 {
             st = self.shared.done.wait(st).expect("engine state poisoned");
@@ -156,7 +164,7 @@ impl Engine {
                 errors.len()
             ));
         }
-        results.sort_by_key(|r| r.id);
+        results.sort_by_key(|(r, _)| r.id);
         Ok(results)
     }
 
@@ -164,24 +172,6 @@ impl Engine {
     /// `cache_hit_rate` source).
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
-    }
-
-    /// Snapshot of the engine's wall-clock telemetry: `queue_wait` and
-    /// `execute` span histograms (microseconds) plus the `jobs`
-    /// counter. Values are machine-dependent; only the counter is
-    /// deterministic.
-    pub fn metrics(&self) -> MetricsRegistry {
-        self.shared
-            .metrics
-            .lock()
-            .expect("engine metrics poisoned")
-            .clone()
-    }
-
-    /// Snapshot of the shared cache's wall-clock artifact-compile
-    /// latency histogram.
-    pub fn compile_times(&self) -> LatencyHistogram {
-        self.shared.cache.compile_times()
     }
 
     /// High-water mark of the queue depth since start.
@@ -231,25 +221,21 @@ fn worker_loop(shared: &Shared) {
         let Some((id, spec, submitted)) = job else {
             return;
         };
-        let queue_wait = submitted.elapsed();
         let started = Instant::now();
+        let queue_ms = started.duration_since(submitted).as_secs_f64() * 1e3;
         let outcome = spec.execute(shared.job_parallelism, Some(&shared.cache));
-        let executed = started.elapsed();
-        let latency_ms = executed.as_secs_f64() * 1e3;
-        {
-            let mut m = shared.metrics.lock().expect("engine metrics poisoned");
-            m.record_span("queue_wait", queue_wait);
-            m.record_span("execute", executed);
-            m.incr("jobs", 1);
-        }
+        let latency_ms = started.elapsed().as_secs_f64() * 1e3;
         let mut st = shared.state.lock().expect("engine state poisoned");
         match outcome {
-            Ok(summary) => st.results.push(JobResult {
-                id,
-                spec,
-                summary,
-                latency_ms,
-            }),
+            Ok(summary) => st.results.push((
+                JobResult {
+                    id,
+                    spec,
+                    summary,
+                    latency_ms,
+                },
+                queue_ms,
+            )),
             Err(e) => st.errors.push((id, e)),
         }
         st.in_flight -= 1;
@@ -319,13 +305,26 @@ mod tests {
         assert_eq!(stats.builds, 2, "one build per distinct environment");
         assert_eq!(stats.hits, 22);
         assert!(engine.max_depth() >= 1);
-        // Telemetry: one queue-wait and one execute sample per job, one
-        // compile sample per build.
-        let m = engine.metrics();
-        assert_eq!(m.counter("jobs"), 24);
-        assert_eq!(m.span("queue_wait").unwrap().count(), 24);
-        assert_eq!(m.span("execute").unwrap().count(), 24);
-        assert_eq!(engine.compile_times().count(), 2);
+    }
+
+    #[test]
+    fn every_job_carries_one_exact_queue_wait() {
+        let engine = Engine::start(EngineConfig {
+            workers: 2,
+            job_parallelism: 1,
+        });
+        for seed in 0..6 {
+            engine
+                .submit(litmus_job(Shape::Mp, EnvKind::SysStrPlus, seed))
+                .unwrap();
+        }
+        let timed = engine.drain_timed().unwrap();
+        assert_eq!(timed.len(), 6);
+        for (i, (r, queue_ms)) in timed.iter().enumerate() {
+            assert_eq!(r.id, i as u64);
+            assert!(queue_ms.is_finite() && *queue_ms >= 0.0, "{queue_ms}");
+            assert!(r.latency_ms.is_finite() && r.latency_ms >= 0.0);
+        }
     }
 
     #[test]

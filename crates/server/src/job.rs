@@ -31,7 +31,7 @@ use wmm_sim::chip::Chip;
 /// The scratchpad litmus jobs stress — the same layout the one-shot
 /// suite runner defaults to
 /// ([`SuiteConfig::default`](wmm_core::suite::SuiteConfig)), so a
-/// queued suite cell and `run_suite` share artifact-cache entries.
+/// queued suite cell runs the same campaign as its `run_suite` cell.
 pub fn litmus_pad() -> Scratchpad {
     Scratchpad::new(2048, 6144)
 }
@@ -166,9 +166,7 @@ impl JobSpec {
     /// non-zero execution count) without running anything. The engine
     /// validates at submission so workers never meet an unrunnable job.
     pub fn validate(&self) -> Result<(), String> {
-        let chip =
-            Chip::by_short(&self.chip).ok_or_else(|| format!("unknown chip {:?}", self.chip))?;
-        let _ = chip;
+        Chip::by_short(&self.chip).ok_or_else(|| format!("unknown chip {:?}", self.chip))?;
         if self.execs == 0 {
             return Err(format!("{self}: execution count must be positive"));
         }
@@ -285,21 +283,21 @@ impl FromStr for JobSpec {
         let fields: Vec<&str> = s.split_whitespace().collect();
         let usage = "expected `litmus <chip> <env> <shape> <distance> <execs> <seed>` \
                      or `app <chip> <env> <name> <runs> <seed>`";
-        let num = |field: &str, what: &str| -> Result<u64, String> {
+        fn num<T: FromStr>(job: &str, field: &str, what: &str) -> Result<T, String> {
             field
-                .parse::<u64>()
-                .map_err(|_| format!("bad {what} {field:?} in job {s:?}"))
-        };
+                .parse::<T>()
+                .map_err(|_| format!("bad {what} {field:?} in job {job:?}"))
+        }
         let spec = match fields.as_slice() {
             ["litmus", chip, env, shape, distance, execs, seed] => JobSpec {
                 chip: (*chip).to_string(),
                 env: env.parse()?,
                 workload: WorkloadSpec::Litmus {
                     shape: shape.parse()?,
-                    distance: num(distance, "distance")? as u32,
+                    distance: num(s, distance, "distance")?,
                 },
-                execs: num(execs, "execution count")? as u32,
-                seed: num(seed, "seed")?,
+                execs: num(s, execs, "execution count")?,
+                seed: num(s, seed, "seed")?,
             },
             ["app", chip, env, name, runs, seed] => JobSpec {
                 chip: (*chip).to_string(),
@@ -307,8 +305,8 @@ impl FromStr for JobSpec {
                 workload: WorkloadSpec::App {
                     name: (*name).to_string(),
                 },
-                execs: num(runs, "run count")? as u32,
-                seed: num(seed, "seed")?,
+                execs: num(s, runs, "run count")?,
+                seed: num(s, seed, "seed")?,
             },
             _ => return Err(format!("cannot parse job {s:?}: {usage}")),
         };
@@ -389,6 +387,8 @@ mod tests {
             "app Titan sys-str+ no-such-app 4 1",
             "serve Titan sys-str+ MP 64 8 1",
             "litmus Titan sys-str+ MP sixty-four 8 1",
+            "litmus Titan sys-str+ MP 4294967360 8 1",
+            "litmus Titan sys-str+ MP 64 4294967297 1",
         ] {
             assert!(bad.parse::<JobSpec>().is_err(), "{bad:?} should not parse");
         }

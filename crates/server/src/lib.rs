@@ -19,9 +19,9 @@
 //! * [`soak`] — the deterministic soak/throughput harness behind
 //!   `repro soak`: a seeded (`SOAK_SEED`) generator streams a fixed job
 //!   mix (all 28 shapes × chips × the five suite strategies, plus
-//!   applications), reports sustained jobs/sec, latency percentiles,
-//!   queue depth and cache hit rate, and gates the run on throughput,
-//!   cache effectiveness and determinism.
+//!   applications), reports sustained jobs/sec, exact latency and
+//!   queue-wait percentiles, queue depth and cache hit rate, and gates
+//!   the run on throughput, cache effectiveness and determinism.
 //!
 //! # Determinism
 //!

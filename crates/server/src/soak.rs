@@ -33,7 +33,7 @@ use wmm_core::cache::CacheStats;
 use wmm_core::campaign::Fnv64;
 use wmm_gen::Shape;
 use wmm_litmus::runner::mix_seed;
-use wmm_obs::{ChannelCounts, LatencyHistogram, Provenance};
+use wmm_obs::{ChannelCounts, Provenance};
 
 /// The three soak intensities, after the exemplar harness shape:
 /// `--quick` for CI smoke, `--extended` for nightly runs, `--stress`
@@ -270,10 +270,10 @@ pub struct GateReport {
     pub pass: bool,
 }
 
-/// The telemetry block of a [`SoakReport`], split the way the JSON
-/// renders it: deterministic channel counters aggregated over every
-/// litmus result, and wall-clock span histograms from the engine and
-/// the artifact cache.
+/// The deterministic telemetry block of a [`SoakReport`]: channel
+/// counters and weak-run attribution aggregated over every litmus
+/// result. Like the digest, a function of `(mix, seed)` alone; the
+/// report's wall-clock samples live beside it, never inside.
 #[derive(Debug, Clone, Default)]
 pub struct SoakMetrics {
     /// Per-channel weakness-event totals over every litmus run in the
@@ -282,13 +282,6 @@ pub struct SoakMetrics {
     /// Weak-run attribution summed over every litmus job; its total is
     /// the batch's weak-outcome count (deterministic).
     pub provenance: Provenance,
-    /// Wall-clock per-job queue wait (machine-dependent).
-    pub queue_wait: LatencyHistogram,
-    /// Wall-clock per-job execute span (machine-dependent).
-    pub execute: LatencyHistogram,
-    /// Wall-clock artifact-compile span per cache build
-    /// (machine-dependent).
-    pub compile: LatencyHistogram,
 }
 
 /// Everything a soak run measured. `results_digest` and the
@@ -318,6 +311,9 @@ pub struct SoakReport {
     pub latency_ms_p90: f64,
     /// 99th-percentile latency (ms).
     pub latency_ms_p99: f64,
+    /// Every job's exact queue wait (µs), ascending; the report renders
+    /// their [`percentile`]s.
+    pub queue_wait_us: Vec<f64>,
     /// High-water queue depth.
     pub max_queue_depth: usize,
     /// Artifact-cache counters.
@@ -329,7 +325,7 @@ pub struct SoakReport {
     pub determinism_checked: usize,
     /// Of which disagreed with their queued result (must be 0).
     pub determinism_mismatches: usize,
-    /// Channel counters and span histograms (see [`SoakMetrics`]).
+    /// Channel counters and weak-run attribution (see [`SoakMetrics`]).
     pub metrics: SoakMetrics,
     /// Gate outcomes.
     pub gates: GateReport,
@@ -354,12 +350,21 @@ pub fn results_digest(results: &[JobResult]) -> u64 {
     f.finish()
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
+/// The `p`-th percentile (0–100) of ascending wall-clock samples, by
+/// nearest rank: always one of the samples, never an interpolated or
+/// bucketed value; 0 when empty.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Sort wall-clock samples ascending (they are finite by construction).
+fn ascending(mut samples: Vec<f64>) -> Vec<f64> {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("wall-clock samples are finite"));
+    samples
 }
 
 /// Run the profile's standard mix. See [`run_soak_mix`].
@@ -387,13 +392,13 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
     for job in &jobs {
         engine.submit(job.clone())?;
     }
-    let results = engine.drain()?;
+    let timed = engine.drain_timed()?;
     let elapsed_sec = started.elapsed().as_secs_f64();
     let cache = engine.cache_stats();
     let max_queue_depth = engine.max_depth();
-    let engine_metrics = engine.metrics();
-    let compile = engine.compile_times();
     engine.shutdown();
+    let queue_wait_us = ascending(timed.iter().map(|(_, ms)| ms * 1e3).collect());
+    let results: Vec<JobResult> = timed.into_iter().map(|(r, _)| r).collect();
 
     // Deterministic telemetry: fold every litmus result's channel
     // totals and weak-run attribution (pure counts, so — like the
@@ -409,16 +414,8 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
     let metrics = SoakMetrics {
         channels,
         provenance,
-        queue_wait: engine_metrics
-            .span("queue_wait")
-            .cloned()
-            .unwrap_or_default(),
-        execute: engine_metrics.span("execute").cloned().unwrap_or_default(),
-        compile,
     };
-
-    let mut latencies: Vec<f64> = results.iter().map(|r| r.latency_ms).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let latencies = ascending(results.iter().map(|r| r.latency_ms).collect());
 
     // Determinism gate: an evenly spaced sample of jobs, re-executed
     // standalone — no queue, no pool, no shared cache — must reproduce
@@ -455,6 +452,7 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
         latency_ms_p50: percentile(&latencies, 50.0),
         latency_ms_p90: percentile(&latencies, 90.0),
         latency_ms_p99: percentile(&latencies, 99.0),
+        queue_wait_us,
         max_queue_depth,
         cache,
         results_digest: format!("{:016x}", results_digest(&results)),
@@ -520,12 +518,12 @@ impl SoakReport {
             self.determinism_checked, self.determinism_mismatches, self.gates.determinism_ok
         ));
         s.push_str(&format!(
-            "  \"metrics\": {{\"deterministic\": {{\"channels\": {}, \"provenance\": {}}}, \"wall_clock_us\": {{\"queue_wait\": {}, \"execute\": {}, \"compile\": {}}}}},\n",
+            "  \"metrics\": {{\"deterministic\": {{\"channels\": {}, \"provenance\": {}}}, \"wall_clock_us\": {{\"queue_wait\": {{\"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}}}}}}},\n",
             self.metrics.channels.to_json(),
             self.metrics.provenance.to_json(),
-            self.metrics.queue_wait.to_json(),
-            self.metrics.execute.to_json(),
-            self.metrics.compile.to_json()
+            percentile(&self.queue_wait_us, 50.0),
+            percentile(&self.queue_wait_us, 90.0),
+            percentile(&self.queue_wait_us, 99.0)
         ));
         s.push_str(&format!("  \"pass\": {}\n", self.gates.pass));
         s.push_str("}\n");
@@ -706,6 +704,34 @@ mod tests {
     }
 
     #[test]
+    fn queue_wait_percentiles_are_recorded_samples() {
+        let report = run_soak_mix(&tiny_cfg(2), &tiny_mix()).unwrap();
+        assert_eq!(report.queue_wait_us.len(), report.jobs);
+        let json = report.to_json();
+        let wall = json
+            .split("\"wall_clock_us\": {\"queue_wait\": {")
+            .nth(1)
+            .expect("queue_wait object");
+        let value = |key: &str| -> &str {
+            let rest = &wall[wall.find(&format!("\"{key}\": ")).unwrap() + key.len() + 4..];
+            &rest[..rest.find([',', '}']).unwrap()]
+        };
+        let (p50, p90, p99) = (value("p50"), value("p90"), value("p99"));
+        // An exact sample, not a log2 bucket edge.
+        assert!(
+            report
+                .queue_wait_us
+                .iter()
+                .any(|us| format!("{us:.1}") == p50),
+            "p50 {p50} is not a recorded sample: {:?}",
+            report.queue_wait_us
+        );
+        let num = |v: &str| v.parse::<f64>().unwrap();
+        assert!(num(p50) <= num(p90) && num(p90) <= num(p99), "{wall}");
+        assert!(!json.contains("\"execute\"") && !json.contains("\"compile\""));
+    }
+
+    #[test]
     fn soak_channel_counters_are_worker_count_invariant_and_live() {
         let mix = tiny_mix();
         let a = run_soak_mix(&tiny_cfg(1), &mix).unwrap();
@@ -732,10 +758,9 @@ mod tests {
             "no L1 events: {}",
             live.metrics.channels
         );
-        // Wall-clock spans sample every job regardless of worker count.
-        assert_eq!(a.metrics.execute.count(), a.jobs as u64);
-        assert_eq!(a.metrics.queue_wait.count(), a.jobs as u64);
-        assert!(a.metrics.compile.count() > 0);
+        // One exact queue-wait sample per job, regardless of worker count.
+        assert_eq!(a.queue_wait_us.len(), a.jobs);
+        assert_eq!(b.queue_wait_us.len(), b.jobs);
         // ...and the trajectory point carries the channel counters.
         let point = a.trajectory_point();
         assert!(point.contains("\"channels\": {\"window_global\":"));
